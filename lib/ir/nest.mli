@@ -25,7 +25,9 @@ val make : name:string -> arrays:Decl.t list -> loops:loop list ->
     - every reference's array appears in [arrays], with matching rank;
     - index expressions use only enclosing loop variables;
     - every access is in bounds for every iteration (affine extremes);
-    - no two declarations share a name.
+    - no two declarations share a name;
+    - the iteration count, each array's size in bits and each index's
+      extremes fit in an int.
     @raise Invalid_argument with a descriptive message otherwise. *)
 
 val depth : t -> int

@@ -29,9 +29,15 @@ type info = private {
   reuse : Kernelspace.t;
   has_reuse : bool;
   window_level : int;   (** carrying loop level, 1-based; [depth+1] if none *)
-  nu : int;             (** registers for full scalar replacement *)
+  nu : int;
+      (** registers for full scalar replacement: {!box_distinct} over the
+          reuse-window box (levels above the carrying level pinned, the
+          carrying level sweeping the carry distance, inner levels full);
+          1 without reuse *)
   accesses : int;       (** iterations touching the group *)
-  distinct : int;       (** distinct elements over the whole nest *)
+  distinct : int;
+      (** distinct elements over the whole nest: {!box_distinct} over the
+          full iteration box *)
   saved_full : int;     (** accesses eliminated by full replacement *)
   benefit_cost : float; (** [saved_full / nu] *)
   lin_coeffs : int array; (** per-level coefficients of the linearised
@@ -46,6 +52,21 @@ type t = private {
 }
 
 val analyze : Nest.t -> t
+(** Counts come in closed form from {!box_distinct}; nothing walks the
+    iteration space. *)
+
+val box_distinct : counts:int array -> int array -> int
+(** [box_distinct ~counts c] is the number of distinct values of
+    [sum_l c.(l) * k_l] over the box [0 <= k_l < counts.(l)]: the size of
+    a sumset of arithmetic progressions. Coefficients are taken in
+    absolute value, zero coefficients and unit trip counts dropped, and
+    the rest divided by their gcd; reachable offsets are then marked level
+    by level with a sliding-window OR per residue class, in one byte per
+    offset of the sum's span. When that span is wider than the box's
+    points would take as words (a sparse, huge-stride reference) the box's
+    sums are sorted and counted instead, so no count allocates more than
+    the box it counts. The box's point count and the sum's range must fit
+    in an int; {!Srfa_ir.Nest.make} guarantees both for a nest's boxes. *)
 
 val info : t -> int -> info
 (** By group id. @raise Invalid_argument when out of range. *)
@@ -55,12 +76,26 @@ val element_index : info -> int array -> int
 
 val num_groups : t -> int
 
+val window_start : t -> info -> int
+(** First (0-based) loop level swept inside one reuse window of the group:
+    the levels below it are the window coordinates the {!Tracker} watches.
+    [depth] for groups without reuse. *)
+
+val window_ranks : t -> info -> int array
+(** The group's first-touch ranks over one reuse window: entry [n] is the
+    {!Tracker.slot_rank} at the [n]-th point, in execution order, of the
+    box whose levels from {!window_start} on sweep their full range.
+    Windows restart whenever a coordinate above them changes and first
+    touches are unchanged by adding one constant to every element, so the
+    rank at any iteration point is the entry at that point's inner-box
+    index (its execution-order rank modulo the array length). Groups
+    without reuse get [[| max_int |]]. *)
+
 val rank_affine : t -> info -> int array option
 (** Per-level coefficients [r] such that the group's slot rank at every
     iteration point equals [sum_l r.(l) * point.(l)]. The candidate — a
     mixed-radix index over the in-window loop levels the reference actually
-    depends on — is validated against the first-touch order of one window
-    walk; [None] when the window's first-touch order is not affine (e.g.
+    depends on — is validated against {!window_ranks}; [None] when the window's first-touch order is not affine (e.g.
     coupled 2-D stencils like BIC's image reference), in which case code
     generation falls back to RAM for the partial range. *)
 

@@ -80,12 +80,14 @@ type scratch = {
   s_resident : bool array;
   s_key : Bytes.t;
   s_hist : Arena.Table.t; (* profile: cost -> iteration count *)
-  (* Pinned-residency rank cache: slot ranks are a pure function of
+  (* Pinned-residency rank table: slot ranks are a pure function of
      (analysis, iteration point) — the allocation only thresholds them
-     (resident = pinned && rank < beta) — so one tracked walk records
-     them and every later evaluation replays flat array reads instead of
-     stepping the tracker. [iterations * ngroups] ints, filled lazily;
-     nests past [rank_cache_cap] entries keep the tracked walk. *)
+     (resident = pinned && rank < beta) — and of the point's coordinates
+     from the shallowest window start W on (Analysis.window_ranks), so
+     every evaluation replays the inner box below W once, weighting each
+     point by the iterations above W. [inner * ngroups] ints, filled
+     lazily; inner boxes past [rank_cache_cap] entries keep the tracked
+     walk. *)
   mutable s_ranks : int array;
   mutable s_ranks_ready : bool;
   s_pinned : bool array; (* per-walk allocation snapshot *)
@@ -117,12 +119,13 @@ let scratch ?(config = default_config) ?dfg analysis =
     s_beta = Array.make (max ngroups 1) 0;
   }
 
-(* Rank caches above this many entries (~64 MB) are not worth their
+(* Rank tables above this many entries (~64 MB) are not worth their
    memory; such nests keep the tracked walk. *)
 let rank_cache_cap = 1 lsl 23
 
-(* Shared walking core: calls [on_iteration cost resident_bits] once per
-   iteration point, in execution order. *)
+(* Shared walking core: calls [on_iteration weight cost resident_bits]
+   so that the weights of each residency pattern sum to the number of
+   iteration points showing it. *)
 let walk ?(trace = Srfa_util.Trace.null) ?scratch:sc config alloc
     ~on_iteration =
   let analysis = alloc.Allocation.analysis in
@@ -196,30 +199,39 @@ let walk ?(trace = Srfa_util.Trace.null) ?scratch:sc config alloc
         m
     end
   in
-  let iterations = Nest.iterations nest in
+  let counts = Array.of_list (Nest.trip_counts nest) in
+  let w =
+    Array.fold_left
+      (fun w i -> min w (Analysis.window_start analysis i))
+      (Array.length counts) analysis.Analysis.infos
+  in
+  let inner = ref 1 in
+  for l = w to Array.length counts - 1 do
+    inner := !inner * counts.(l)
+  done;
+  let inner = !inner in
   let use_rank_cache =
     config.residency = Residency.Pinned
     && ngroups > 0
-    && iterations <= rank_cache_cap / ngroups
+    && inner <= rank_cache_cap / ngroups
   in
   if use_rank_cache && not sc.s_ranks_ready then begin
-    let need = iterations * ngroups in
+    let need = inner * ngroups in
     if Array.length sc.s_ranks < need then sc.s_ranks <- Array.make need 0;
-    let tracker = sc.s_tracker in
-    Analysis.Tracker.reset tracker;
     let ranks = sc.s_ranks in
-    let idx = ref 0 in
-    Iterspace.iter nest (fun point ->
-        Analysis.Tracker.step tracker point;
-        for gid = 0 to ngroups - 1 do
-          ranks.(!idx) <- Analysis.Tracker.slot_rank tracker gid;
-          incr idx
-        done);
+    for gid = 0 to ngroups - 1 do
+      let window = Analysis.window_ranks analysis (Analysis.info analysis gid) in
+      let period = Array.length window in
+      for i = 0 to inner - 1 do
+        ranks.((i * ngroups) + gid) <- window.(i mod period)
+      done
+    done;
     sc.s_ranks_ready <- true
   end;
   if use_rank_cache then begin
-    (* Fast path: replay the cached ranks against this allocation's
+    (* Fast path: one pass over the inner box against this allocation's
        thresholds — no tracker stepping, no residency object. *)
+    let weight = Nest.iterations nest / inner in
     let pinned = sc.s_pinned and beta = sc.s_beta in
     for gid = 0 to ngroups - 1 do
       let e = Allocation.entry alloc gid in
@@ -227,14 +239,14 @@ let walk ?(trace = Srfa_util.Trace.null) ?scratch:sc config alloc
       beta.(gid) <- e.Allocation.beta
     done;
     let ranks = sc.s_ranks in
-    for i = 0 to iterations - 1 do
+    for i = 0 to inner - 1 do
       let base = i * ngroups in
       for gid = 0 to ngroups - 1 do
         resident_bits.(gid) <-
           pinned.(gid) && Array.unsafe_get ranks (base + gid) < beta.(gid);
         charged_bits.(gid) <- not resident_bits.(gid)
       done;
-      on_iteration (cost_of_pattern ()) resident_bits
+      on_iteration weight (cost_of_pattern ()) resident_bits
     done
   end
   else begin
@@ -248,7 +260,7 @@ let walk ?(trace = Srfa_util.Trace.null) ?scratch:sc config alloc
         charged_bits.(gid) <- not resident;
         resident_bits.(gid) <- resident
       done;
-      on_iteration (cost_of_pattern ()) resident_bits
+      on_iteration 1 (cost_of_pattern ()) resident_bits
     in
     Iterspace.iter nest visit
   end;
@@ -264,13 +276,13 @@ let run ?trace ?(config = default_config) ?scratch alloc =
   let ram_accesses = ref 0 in
   let register_hits = ref 0 in
   let group_ram = Array.make ngroups 0 in
-  let on_iteration cost resident_bits =
-    total := !total + cost;
+  let on_iteration weight cost resident_bits =
+    total := !total + (weight * cost);
     for gid = 0 to ngroups - 1 do
-      if resident_bits.(gid) then incr register_hits
+      if resident_bits.(gid) then register_hits := !register_hits + weight
       else begin
-        incr ram_accesses;
-        group_ram.(gid) <- group_ram.(gid) + 1
+        ram_accesses := !ram_accesses + weight;
+        group_ram.(gid) <- group_ram.(gid) + weight
       end
     done
   in
@@ -303,9 +315,9 @@ let profile ?trace ?(config = default_config) ?scratch:sc alloc =
     | None -> Arena.Table.create ~capacity:64 ()
   in
   Arena.Table.reset hist;
-  let on_iteration cost _ =
+  let on_iteration weight cost _ =
     let cost = cost + config.control_overhead in
-    Arena.Table.set hist cost (1 + Arena.Table.find hist cost ~default:0)
+    Arena.Table.set hist cost (weight + Arena.Table.find hist cost ~default:0)
   in
   let _ = walk ?trace ?scratch:sc config alloc ~on_iteration in
   let acc = ref [] in

@@ -1,10 +1,15 @@
 (** Whole-nest execution simulation.
 
-    Walks the iteration space in execution order, tracking register
-    residency per reference group (see {!Srfa_reuse.Analysis.Tracker}), and
-    accumulates the cycle cost of every iteration under the given
-    allocation. Per-iteration costs are memoised on the set of groups that
-    hit RAM, so the walk is linear in the iteration count. *)
+    Accumulates the cycle cost of every iteration under the given
+    allocation, with register residency per reference group as the
+    {!Srfa_reuse.Analysis.Tracker} defines it. Under the {!Residency.Pinned}
+    policy residency depends only on a point's coordinates from the
+    shallowest reuse-window start W on ({!Srfa_reuse.Analysis.window_ranks}),
+    so the walk visits that inner box once and weights each point by the
+    iterations above W; the dynamic policies, and inner boxes too large to
+    tabulate, walk the whole iteration space with the tracker.
+    Per-iteration costs are memoised on the set of groups that hit RAM, so
+    the walk is linear in the inner box. *)
 
 open Srfa_reuse
 

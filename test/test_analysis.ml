@@ -132,6 +132,27 @@ let test_rank_affine_matches_tracker () =
   in
   List.iter check_kernel (Helpers.small_kernels ())
 
+(* One window's ranks, indexed by a point's execution-order rank modulo
+   the window size, are the tracker's ranks at every point. *)
+let test_window_ranks_match_tracker () =
+  let check_kernel (name, nest) =
+    let an = Helpers.analyze nest in
+    let windows = Array.map (Analysis.window_ranks an) an.Analysis.infos in
+    let tr = Analysis.Tracker.create an in
+    let idx = ref 0 in
+    Srfa_ir.Iterspace.iter an.Analysis.nest (fun point ->
+        Analysis.Tracker.step tr point;
+        Array.iteri
+          (fun gid window ->
+            Alcotest.(check int)
+              (Printf.sprintf "%s group %d at %d" name gid !idx)
+              (Analysis.Tracker.slot_rank tr gid)
+              window.(!idx mod Array.length window))
+          windows;
+        incr idx)
+  in
+  List.iter check_kernel (Helpers.small_kernels ())
+
 let () =
   Alcotest.run "analysis"
     [
@@ -162,5 +183,7 @@ let () =
             test_tracker_residency;
           Alcotest.test_case "rank affine matches tracker" `Slow
             test_rank_affine_matches_tracker;
+          Alcotest.test_case "window ranks match tracker" `Quick
+            test_window_ranks_match_tracker;
         ] );
     ]

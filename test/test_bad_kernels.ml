@@ -43,6 +43,8 @@ let cases =
     ("duplicate_decl.k", "E-PARSE-005", Some (3, 15), "declared twice");
     ("truncated.k", "E-PARSE-001", Some (7, 1), "end of input");
     ("oob_index.k", "E-SEM-001", None, "extent 4");
+    ("overflow_trips.k", "E-SEM-001", None, "iteration count");
+    ("overflow_elements.k", "E-SEM-001", None, "too many elements");
   ]
 
 let test_missing_file () =
