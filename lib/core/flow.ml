@@ -999,77 +999,56 @@ module Core = struct
      field order, fixed float format, no stats (cut/memo counts depend
      on domain scheduling and live in [frontier_stats] only). *)
 
-  let json_escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
   let point_json p =
-    let b = Buffer.create 256 in
-    Buffer.add_string b
-      (Printf.sprintf "{\"label\": \"%s\"" (json_escape p.label));
-    (match p.tiling with
-    | Some (level, factor) ->
-      Buffer.add_string b
-        (Printf.sprintf ", \"tile_level\": %d, \"tile_factor\": %d" level
-           factor)
-    | None -> ());
-    Buffer.add_string b
-      (Printf.sprintf ", \"order\": [%s], \"loop_vars\": [%s]"
-         (String.concat ", " (List.map string_of_int p.order))
-         (String.concat ", "
-            (List.map
-               (fun v -> Printf.sprintf "\"%s\"" (json_escape v))
-               p.loop_vars)));
-    Buffer.add_string b
-      (Printf.sprintf
-         ", \"budget\": %d, \"algorithm\": \"%s\", \"floor\": %b"
-         p.point_budget
-         (json_escape p.point_algorithm)
-         p.floor);
-    Buffer.add_string b
-      (Printf.sprintf
-         ", \"cycles\": %d, \"registers\": %d, \"slices\": %d, \
-          \"clock_ns\": %.3f, \"exec_time_us\": %.3f"
-         p.coords.cycles p.coords.registers p.coords.slices p.coords.clock_ns
-         p.point_report.Srfa_estimate.Report.exec_time_us);
-    (match p.point_cert with
-    | Some c ->
-      Buffer.add_string b
-        (Printf.sprintf
-           ", \"certified\": {\"dominates\": %b, \"repaired\": %b, \
-            \"adopted\": %s}"
-           c.dominates c.repaired
-           (match c.adopted with
-           | Some a -> Printf.sprintf "\"%s\"" (json_escape a)
-           | None -> "null"))
-    | None -> ());
-    Buffer.add_char b '}';
-    Buffer.contents b
+    let module J = Srfa_util.Json in
+    let v x = J.value x in
+    J.obj
+      ([ ("label", v (J.Str p.label)) ]
+      @ (match p.tiling with
+        | Some (level, factor) ->
+          [ ("tile_level", v (J.Int level)); ("tile_factor", v (J.Int factor)) ]
+        | None -> [])
+      @ [
+          ("order", v (J.Arr (List.map (fun i -> J.Int i) p.order)));
+          ("loop_vars", v (J.Arr (List.map (fun x -> J.Str x) p.loop_vars)));
+          ("budget", v (J.Int p.point_budget));
+          ("algorithm", v (J.Str p.point_algorithm));
+          ("floor", v (J.Bool p.floor));
+          ("cycles", v (J.Int p.coords.cycles));
+          ("registers", v (J.Int p.coords.registers));
+          ("slices", v (J.Int p.coords.slices));
+          ("clock_ns", J.fixed 3 p.coords.clock_ns);
+          ( "exec_time_us",
+            J.fixed 3 p.point_report.Srfa_estimate.Report.exec_time_us );
+        ]
+      @
+      match p.point_cert with
+      | Some c ->
+        let adopted = match c.adopted with Some a -> J.Str a | None -> J.Null in
+        [
+          ( "certified",
+            v
+              (J.Obj
+                 [
+                   ("dominates", J.Bool c.dominates);
+                   ("repaired", J.Bool c.repaired);
+                   ("adopted", adopted);
+                 ]) );
+        ]
+      | None -> [])
 
   let frontier_json ?(compact = false) f =
     let b = Buffer.create 1024 in
     Buffer.add_string b
-      (if compact then
-         Printf.sprintf "{\"kernel\": \"%s\", \"points\": ["
-           (json_escape f.frontier_kernel)
-       else
-         Printf.sprintf "{\n  \"kernel\": \"%s\",\n  \"points\": [\n"
-           (json_escape f.frontier_kernel));
+      (if compact then "{\"kernel\": " else "{\n  \"kernel\": ");
+    Srfa_util.Json.add_string b f.frontier_kernel;
+    Buffer.add_string b
+      (if compact then ", \"points\": [" else ",\n  \"points\": [\n");
     List.iteri
       (fun i p ->
         if i > 0 then Buffer.add_string b (if compact then ", " else ",\n");
         if not compact then Buffer.add_string b "    ";
-        Buffer.add_string b (point_json p))
+        point_json p b)
       f.points;
     Buffer.add_string b (if compact then "]}" else "\n  ]\n}");
     Buffer.contents b

@@ -154,16 +154,19 @@ type explore_value = {
   explore_warnings : Diag.t list;
 }
 
+(* One store and the number its cache.* trace events carry. *)
+type 'v tier = { lru : 'v Lru.t; tier : int }
+
 type t = {
-  tier1 : entry Lru.t;
-  tier2 : report_value Lru.t;
-  sessions : Flow.Core.rebudget_session Lru.t;
+  tier1 : entry tier;
+  tier2 : report_value tier;
+  sessions : Flow.Core.rebudget_session tier;
       (* live rebudget streams (DESIGN.md §16), keyed by (tier-1,
          stream name). Mutable single-owner values: every step runs on
          the accept thread, never on a pool domain, so they share the
          tier-1 scratch without racing it. Eviction just cold-starts
          the stream on its next event. *)
-  explores : explore_value Lru.t;
+  explores : explore_value tier;
       (* finished design-space frontiers keyed by (tier-1, space spec).
          Immutable rendered strings, safe to serve any number of
          times — the explore analogue of tier 2. *)
@@ -176,10 +179,10 @@ let create ?(tier1_bytes = 48 * 1024 * 1024) ?(tier2_bytes = 16 * 1024 * 1024)
     ?(explore_bytes = 16 * 1024 * 1024) ?(trace = Trace.null)
     ?(faults = Fault.off) () =
   {
-    tier1 = Lru.create ~capacity:tier1_bytes;
-    tier2 = Lru.create ~capacity:tier2_bytes;
-    sessions = Lru.create ~capacity:session_bytes;
-    explores = Lru.create ~capacity:explore_bytes;
+    tier1 = { lru = Lru.create ~capacity:tier1_bytes; tier = 1 };
+    tier2 = { lru = Lru.create ~capacity:tier2_bytes; tier = 2 };
+    sessions = { lru = Lru.create ~capacity:session_bytes; tier = 3 };
+    explores = { lru = Lru.create ~capacity:explore_bytes; tier = 4 };
     trace;
     faults;
   }
@@ -211,14 +214,9 @@ let build_entry r ~t1 =
     device = r.device;
   }
 
-let find_report t key =
-  let hit = Lru.find t.tier2 key in
-  emit_lookup t ~tier:2 ~key (hit <> None);
-  hit
-
-let find_entry t key =
-  let hit = Lru.find t.tier1 key in
-  emit_lookup t ~tier:1 ~key (hit <> None);
+let find t tier key =
+  let hit = Lru.find tier.lru key in
+  emit_lookup t ~tier:tier.tier ~key (hit <> None);
   hit
 
 (* The cache.insert fault site: an injected failure means the store did
@@ -226,22 +224,32 @@ let find_entry t key =
    the contract is "skip the insert and stay correct" — the value is
    recomputed on the next miss; the daemon must never die here because
    inserts run on the accept thread. *)
-let insert_faulted t ~tier ~key =
+let insert t tier key v =
   match Fault.check t.faults "cache.insert" with
-  | None -> false
+  | None ->
+    emit_evicted t ~tier:tier.tier (Lru.add tier.lru key ~cost:(cost_of v) v)
   | Some _ ->
     Trace.emit t.trace (fun () ->
         Trace.event "fault.cache.insert"
-          [ ("tier", Trace.Int tier); ("key", Trace.String key) ]);
-    true
+          [ ("tier", Trace.Int tier.tier); ("key", Trace.String key) ])
 
-let insert_entry t (e : entry) =
-  if not (insert_faulted t ~tier:1 ~key:e.t1) then
-    emit_evicted t ~tier:1 (Lru.add t.tier1 e.t1 ~cost:(cost_of e) e)
+let find_report t key = find t t.tier2 key
+let find_entry t key = find t t.tier1 key
+let insert_entry t (e : entry) = insert t t.tier1 e.t1 e
+let insert_report t key (v : report_value) = insert t t.tier2 key v
 
-let insert_report t key (v : report_value) =
-  if not (insert_faulted t ~tier:2 ~key) then
-    emit_evicted t ~tier:2 (Lru.add t.tier2 key ~cost:(cost_of v) v)
+(* The resident tier-1 entry, or a freshly built and inserted one.
+   Preparation can fail too (semantic validation, dependency cycles);
+   the boundary matches Flow.Core.checked's. *)
+let entry_for t r ~t1 =
+  match find_entry t t1 with
+  | Some e -> Ok (e, `Analysis)
+  | None -> (
+    match build_entry r ~t1 with
+    | e ->
+      insert_entry t e;
+      Ok (e, `Miss)
+    | exception exn -> Error [ Diag.of_exn exn ])
 
 (* Allocate-and-report against a resident (or freshly built) tier-1
    entry. Pure apart from the entry's scratch: callers on worker domains
@@ -260,34 +268,16 @@ type status = [ `Hit | `Analysis | `Miss ]
    portfolio point was paid; [`Miss] = fully cold. Accept-thread only:
    sessions mutate in place and share the tier-1 scratch. *)
 
-let find_session t key =
-  let hit = Lru.find t.sessions key in
-  emit_lookup t ~tier:3 ~key (hit <> None);
-  hit
-
-let insert_session t key (s : Flow.Core.rebudget_session) =
-  if not (insert_faulted t ~tier:3 ~key) then
-    emit_evicted t ~tier:3 (Lru.add t.sessions key ~cost:(cost_of s) s)
-
 let rebudget t (r : resolved) ~stream =
   let t1 = tier1_key ~device:r.device r.source in
   let skey = session_key ~tier1:t1 ~stream in
-  match find_session t skey with
+  match find t t.sessions skey with
   | Some session -> (
     match Flow.Core.rebudget_step session ~budget:r.budget with
     | step -> Ok (step, `Hit)
     | exception exn -> Error [ Diag.of_exn exn ])
   | None -> (
-    match
-      match find_entry t t1 with
-      | Some e -> Ok (e, `Analysis)
-      | None -> (
-        match build_entry r ~t1 with
-        | e ->
-          insert_entry t e;
-          Ok (e, `Miss)
-        | exception exn -> Error [ Diag.of_exn exn ])
-    with
+    match entry_for t r ~t1 with
     | Error diags -> Error diags
     | Ok (entry, status) -> (
       match
@@ -295,7 +285,7 @@ let rebudget t (r : resolved) ~stream =
           entry.prepared ~budget:r.budget
       with
       | session, step ->
-        insert_session t skey session;
+        insert t t.sessions skey session;
         Ok (step, status)
       | exception exn -> Error [ Diag.of_exn exn ]))
 
@@ -306,15 +296,6 @@ let rebudget t (r : resolved) ~stream =
    tier-1 key only anchors the namespace. Accept-thread only (like
    rebudget): the explorer's own per-variant scratch is private, but the
    store mutates. *)
-
-let find_explore t key =
-  let hit = Lru.find t.explores key in
-  emit_lookup t ~tier:4 ~key (hit <> None);
-  hit
-
-let insert_explore t key (v : explore_value) =
-  if not (insert_faulted t ~tier:4 ~key) then
-    emit_evicted t ~tier:4 (Lru.add t.explores key ~cost:(cost_of v) v)
 
 (* Canonicalise the request's space fields: the parsed values are
    re-rendered, so formatting differences ("8, 16" vs "8,16") never
@@ -409,7 +390,7 @@ let space_of_request (req : Protocol.request) =
 let explore t (r : resolved) ~space ~spec =
   let t1 = tier1_key ~device:r.device r.source in
   let key = explore_key ~tier1:t1 ~spec in
-  match find_explore t key with
+  match find t t.explores key with
   | Some v -> Ok (v, `Hit)
   | None -> (
     match Flow.Core.explore ~space (config_for r) r.nest with
@@ -433,7 +414,7 @@ let explore t (r : resolved) ~space ~spec =
           explore_warnings = f.Flow.Core.frontier_warnings;
         }
       in
-      insert_explore t key v;
+      insert t t.explores key v;
       Ok (v, `Miss)
     | exception exn -> Error [ Diag.of_exn exn ])
 
@@ -449,18 +430,7 @@ let respond t (r : resolved) =
   match find_report t t2 with
   | Some v -> Ok (v.report, v.warnings, `Hit)
   | None -> (
-    match
-      match find_entry t t1 with
-      | Some e -> Ok (e, `Analysis)
-      | None -> (
-        (* Preparation can fail too (semantic validation, dependency
-           cycles); the boundary matches Flow.Core.checked's. *)
-        match build_entry r ~t1 with
-        | e ->
-          insert_entry t e;
-          Ok (e, `Miss)
-        | exception exn -> Error [ Diag.of_exn exn ])
-    with
+    match entry_for t r ~t1 with
     | Error diags -> Error diags
     | Ok (entry, status) -> (
       match compute r entry with
@@ -472,25 +442,22 @@ let respond t (r : resolved) =
 (* Every request performs exactly one tier-2 lookup, so the served count
    is the tier-2 hit + miss total. *)
 let stats t =
-  [
-    ("served", Lru.hits t.tier2 + Lru.misses t.tier2);
-    ("tier1_entries", Lru.length t.tier1);
-    ("tier1_bytes", Lru.used t.tier1);
-    ("tier1_hits", Lru.hits t.tier1);
-    ("tier1_misses", Lru.misses t.tier1);
-    ("tier1_evictions", Lru.evictions t.tier1);
-    ("tier2_entries", Lru.length t.tier2);
-    ("tier2_bytes", Lru.used t.tier2);
-    ("tier2_hits", Lru.hits t.tier2);
-    ("tier2_misses", Lru.misses t.tier2);
-    ("tier2_evictions", Lru.evictions t.tier2);
-    ("sessions", Lru.length t.sessions);
-    ("session_hits", Lru.hits t.sessions);
-    ("session_misses", Lru.misses t.sessions);
-    ("session_evictions", Lru.evictions t.sessions);
-    ("explore_entries", Lru.length t.explores);
-    ("explore_bytes", Lru.used t.explores);
-    ("explore_hits", Lru.hits t.explores);
-    ("explore_misses", Lru.misses t.explores);
-    ("explore_evictions", Lru.evictions t.explores);
-  ]
+  let tier name { lru; _ } =
+    [
+      (name ^ "_entries", Lru.length lru);
+      (name ^ "_bytes", Lru.used lru);
+      (name ^ "_hits", Lru.hits lru);
+      (name ^ "_misses", Lru.misses lru);
+      (name ^ "_evictions", Lru.evictions lru);
+    ]
+  in
+  (("served", Lru.hits t.tier2.lru + Lru.misses t.tier2.lru)
+  :: tier "tier1" t.tier1)
+  @ tier "tier2" t.tier2
+  @ [
+      ("sessions", Lru.length t.sessions.lru);
+      ("session_hits", Lru.hits t.sessions.lru);
+      ("session_misses", Lru.misses t.sessions.lru);
+      ("session_evictions", Lru.evictions t.sessions.lru);
+    ]
+  @ tier "explore" t.explores

@@ -38,8 +38,9 @@
     carries a [retry_after_ms] context hint). The full scheme is
     documented in DESIGN.md §14–§15. *)
 
-(** A parsed JSON value (the protocol ships no JSON dependency). *)
-type json =
+(** The request reader's JSON, {!Srfa_util.Json}, under the names
+    this module has always exported. *)
+type json = Srfa_util.Json.t =
   | Null
   | Bool of bool
   | Int of int
@@ -49,9 +50,12 @@ type json =
   | Obj of (string * json) list
 
 exception Malformed of string
+(** {!Srfa_util.Json.Malformed} itself (a rebinding, which a signature
+    cannot spell): a handler for either catches both. *)
 
 val parse_json : string -> json
-(** @raise Malformed on invalid input (with the byte offset). *)
+(** {!Srfa_util.Json.parse}.
+    @raise Malformed on invalid input (with the byte offset). *)
 
 val member : string -> json -> json option
 (** [member key (Obj ...)] — [None] for absent keys and non-objects. *)
@@ -98,7 +102,7 @@ val recover_id : string -> string option
 (** Best-effort extraction of the ["id"] field from a request line that
     failed to decode, so error responses can still echo it and
     pipelining clients can correlate failures. The scan reads complete
-    JSON string tokens (full escape decoding, [\u] included), so ids
+    JSON string tokens with {!parse_json}'s decoder, so ids
     containing escaped quotes decode correctly and a string {e value}
     spelling or containing ["id"] cannot shadow the real key. [None]
     when no plausible id is found — correlation is lost, nothing

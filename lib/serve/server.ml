@@ -567,6 +567,18 @@ let private_socket tag =
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "srfa-%s-%d.sock" tag (Unix.getpid ()))
 
+(* Response readers shared by the self-test and the chaos campaign. *)
+let str_member key json =
+  match Protocol.member key json with
+  | Some (Protocol.Str s) -> Some s
+  | _ -> None
+
+(* The codes of a response's "diagnostics" or "warnings" array. *)
+let codes field json =
+  match Protocol.member field json with
+  | Some (Protocol.Arr ds) -> List.filter_map (str_member "code") ds
+  | _ -> []
+
 let self_test ?(jobs = 2) ?(log = ignore) () =
   let socket = private_socket "serve" in
   let daemon = Domain.spawn (fun () -> run ~jobs ~socket ()) in
@@ -576,24 +588,9 @@ let self_test ?(jobs = 2) ?(log = ignore) () =
     log (Printf.sprintf "self-test: %-32s %s" name (if ok then "ok" else "FAIL"));
     if not ok then failures := name :: !failures
   in
-  let str_member key json =
-    match Protocol.member key json with
-    | Some (Protocol.Str s) -> Some s
-    | _ -> None
-  in
   let response line = Protocol.parse_json (Client.rpc client line) in
-  let has_code code json =
-    match Protocol.member "diagnostics" json with
-    | Some (Protocol.Arr ds) ->
-      List.exists (fun d -> str_member "code" d = Some code) ds
-    | _ -> false
-  in
-  let warning_code code json =
-    match Protocol.member "warnings" json with
-    | Some (Protocol.Arr ws) ->
-      List.exists (fun w -> str_member "code" w = Some code) ws
-    | _ -> false
-  in
+  let has_code code json = List.mem code (codes "diagnostics" json) in
+  let warning_code code json = List.mem code (codes "warnings" json) in
   (* 1. cold allocate of a named kernel *)
   let r1 = response {|{"id": "c1", "kernel": "fir", "budget": 64}|} in
   check "fir cold is a miss"
@@ -983,17 +980,7 @@ let chaos ?(seed = 42) ?(requests = 600) ?(jobs = 2) ?(log = ignore) () =
         if List.length !violations < 20 then violations := msg :: !violations)
       fmt
   in
-  let str_member key json =
-    match Protocol.member key json with
-    | Some (Protocol.Str s) -> Some s
-    | _ -> None
-  in
-  let diag_codes json =
-    match Protocol.member "diagnostics" json with
-    | Some (Protocol.Arr ds) ->
-      List.filter_map (fun d -> str_member "code" d) ds
-    | _ -> []
-  in
+  let diag_codes = codes "diagnostics" in
   (* ---- phase one: fault-free baseline --------------------------------- *)
   let socket_a = private_socket "chaos-base" in
   let daemon_a = Domain.spawn (fun () -> run ~jobs ~socket:socket_a ()) in

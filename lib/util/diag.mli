@@ -72,5 +72,10 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
+val json : t -> Json.t
+(** [{"code", "severity", "message"}], then ["line"] and ["column"] when
+    there is a span, then a ["context"] object of strings when the
+    context is not empty. *)
+
 val to_json : t -> string
-(** One diagnostic as a single-line JSON object. *)
+(** {!json} printed on one line. *)

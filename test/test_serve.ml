@@ -290,7 +290,8 @@ let test_fault_cache_insert () =
     | Ok f -> f
     | Error msg -> Alcotest.failf "plan: %s" msg
   in
-  let cache = Cache.create ~faults () in
+  let trace, events = Trace.collector () in
+  let cache = Cache.create ~faults ~trace () in
   let r = resolve_exn {|{"kernel": "fir", "budget": 64}|} in
   let report1, _, s1 = respond_exn cache r in
   let report2, _, s2 = respond_exn cache r in
@@ -301,7 +302,17 @@ let test_fault_cache_insert () =
     (Protocol.json_of_report report2);
   let stats = Cache.stats cache in
   Alcotest.(check int) "nothing resident" 0
-    (List.assoc "tier1_entries" stats + List.assoc "tier2_entries" stats)
+    (List.assoc "tier1_entries" stats + List.assoc "tier2_entries" stats);
+  (* Each skipped insert is traced with its tier and key. *)
+  let t1 = Cache.tier1_key ~device:r.Cache.device r.Cache.source in
+  Alcotest.(check (option string))
+    "fault.cache.insert fields"
+    (Some
+       ({|{"event": "fault.cache.insert", "tier": 1, "key": "|} ^ t1 ^ {|"}|}))
+    (Option.map Trace.to_json
+       (List.find_opt
+          (fun (e : Trace.event) -> e.Trace.name = "fault.cache.insert")
+          (events ())))
 
 (* The IO-shell seam: reports are plain values the shell renders without
    mutating, so a repeated request is answered with the physically same
@@ -329,6 +340,17 @@ let test_analysis_reuse () =
     "budget ladder reuses the analysis" true
     (s2 = `Analysis && s3 = `Analysis);
   let stats = Cache.stats cache in
+  (* The stats schema: every key, in order. *)
+  let tier name =
+    List.map (( ^ ) name)
+      [ "_entries"; "_bytes"; "_hits"; "_misses"; "_evictions" ]
+  in
+  Alcotest.(check (list string))
+    "stats keys"
+    (("served" :: tier "tier1") @ tier "tier2"
+    @ [ "sessions"; "session_hits"; "session_misses"; "session_evictions" ]
+    @ tier "explore")
+    (List.map fst stats);
   Alcotest.(check int) "one tier-1 build" 1 (List.assoc "tier1_entries" stats);
   Alcotest.(check int) "three reports" 3 (List.assoc "tier2_entries" stats)
 
