@@ -76,6 +76,13 @@ let fail_diags ?file diags =
   report_diags ?file diags;
   exit (Srfa_util.Diag.exit_code diags)
 
+(* A malformed input file or option value is the user's input at fault:
+   an E-IO-002 error (exit 2), never an internal fault. *)
+let input_error fmt =
+  Printf.ksprintf
+    (fun msg -> fail_diags [ Srfa_util.Diag.make ~code:"E-IO-002" msg ])
+    fmt
+
 (* Last-resort exception boundary around a subcommand body. Commands that
    read files or run the pipeline can fail deep inside the libraries; the
    classifier turns any escape into one coded diagnostic instead of an
@@ -638,25 +645,19 @@ let explore_cmd =
     in
     Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
-  let parse_orders s =
-    match String.lowercase_ascii s with
-    | "all" -> Srfa_core.Flow.Core.All_orders
-    | "identity" | "id" -> Srfa_core.Flow.Core.Identity_order
-    | _ ->
-      Srfa_core.Flow.Core.Orders
-        (String.split_on_char ';' s
-        |> List.map (fun o ->
-               String.split_on_char ',' o
-               |> List.map (fun k -> int_of_string (String.trim k))))
-  in
   let run nest orders tiles budgets algorithms json csv trace_file certify
       no_prune jobs =
     guarded @@ fun () ->
     let jobs, jobs_warnings = Srfa_util.Pool.resolve ?requested:jobs () in
     report_diags jobs_warnings;
+    let orders =
+      match Srfa_core.Flow.Core.parse_orders orders with
+      | Ok orders -> orders
+      | Error why -> input_error "--orders %S: %s" orders why
+    in
     let space =
       {
-        Srfa_core.Flow.Core.orders = parse_orders orders;
+        Srfa_core.Flow.Core.orders;
         tile_factors = tiles;
         space_budgets = budgets;
         space_algorithms = algorithms;
@@ -753,7 +754,7 @@ let explore_cmd =
    the previous effective budget. *)
 let rebudget_events_of_json ~initial json =
   let module J = Srfa_util.Json in
-  let bad what = failwith (Printf.sprintf "events file: %s" what) in
+  let bad what = input_error "events file: %s" what in
   let initial, events =
     match json with
     | J.Arr events -> (initial, events)
@@ -819,8 +820,7 @@ let rebudget_cmd =
         In_channel.with_open_text events_file In_channel.input_all
       in
       try Srfa_util.Json.parse text
-      with Srfa_util.Json.Malformed why ->
-        failwith (Printf.sprintf "events file: %s" why)
+      with Srfa_util.Json.Malformed why -> input_error "events file: %s" why
     in
     let initial, events = rebudget_events_of_json ~initial json in
     let prepared = Flow.Core.prepare nest in

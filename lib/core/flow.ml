@@ -139,37 +139,9 @@ module Core = struct
         | _ -> None)
       events
 
-  (* Second-opinion schedule check: re-time the steady-state body with the
-     cycle-stepped event model. A divergence is not an error — the report
-     keeps the (agreeing-by-construction) Cycle_model numbers — but it is
-     worth a warning and a trace event. *)
-  let event_model_warning ~sink ~guards ~sim_config ~dfg alloc =
-    let ram_map = Srfa_sched.Simulator.ram_map_for sim_config alloc in
-    let residual = Allocation.residual_ram_groups alloc in
-    let charged (g : Group.t) = List.mem g.Group.id residual in
-    match
-      Srfa_sched.Event_model.makespan ~cap:guards.event_model_cap ~dfg
-        ~latency:sim_config.Srfa_sched.Simulator.latency ~ram_map ~charged ()
-    with
-    | _ -> None
-    | exception Srfa_sched.Event_model.Diverged { cycles; cap } ->
-      Trace.emit sink (fun () ->
-          Trace.event "fallback.cycle_model"
-            [
-              ("reason", Trace.String "event model diverged");
-              ("cycles", Trace.Int cycles);
-              ("cap", Trace.Int cap);
-            ]);
-      Some
-        (Diag.warning ~code:"W-GUARD-EVENT"
-           "event model failed to converge; report keeps the coarse \
-            Cycle_model timing"
-           ~context:
-             [ ("cycles", string_of_int cycles); ("cap", string_of_int cap) ])
-
   (* The body shared by the nest-at-a-time entry point and the
-     prepared-kernel one: allocate, report, second-opinion the schedule,
-     translate guard events into warnings. Never raises. *)
+     prepared-kernel one: allocate, report, translate guard events into
+     warnings. Never raises. *)
   let checked_prepared ?(trace = Trace.null) ?sim_scratch config algorithm
       prepared =
     let sink, events = tee_collector trace in
@@ -186,24 +158,13 @@ module Core = struct
           algorithm prepared.analysis
       in
       let trace_summary = Trace.summary (events ()) in
-      let report =
-        Srfa_estimate.Report.build ~sim_config:config.sim
-          ~clock_params:config.clock_params ~trace:sink ~trace_summary
-          ~sim_scratch
-          ~version:(Allocator.version_label algorithm)
-          alloc
-      in
-      let event_warning =
-        event_model_warning ~sink ~guards:config.guards ~sim_config:config.sim
-          ~dfg:prepared.dfg alloc
-      in
-      (report, event_warning)
+      Srfa_estimate.Report.build ~sim_config:config.sim
+        ~clock_params:config.clock_params ~trace:sink ~trace_summary
+        ~sim_scratch
+        ~version:(Allocator.version_label algorithm)
+        alloc
     with
-    | report, event_warning ->
-      let warnings =
-        warnings_of_events (events ()) @ Option.to_list event_warning
-      in
-      Ok (report, warnings)
+    | report -> Ok (report, warnings_of_events (events ()))
     | exception exn -> Result.Error [ Diag.of_exn exn ]
 
   let checked ?(config = default_config) ?(algorithm = Allocator.Cpa_ra)
@@ -349,6 +310,23 @@ module Core = struct
     | Identity_order
     | All_orders
     | Orders of int list list
+
+  let parse_orders s =
+    match String.lowercase_ascii s with
+    | "all" -> Ok All_orders
+    | "identity" | "id" -> Ok Identity_order
+    | _ -> (
+      let perm o =
+        List.map
+          (fun k -> int_of_string (String.trim k))
+          (String.split_on_char ',' o)
+      in
+      match List.map perm (String.split_on_char ';' s) with
+      | os -> Ok (Orders os)
+      | exception Failure _ ->
+        Error
+          "must be \"all\", \"identity\" or semicolon-separated \
+           permutations like \"0,2,1;2,0,1\"")
 
   type space = {
     orders : order_spec;

@@ -29,8 +29,10 @@ module Core : sig
         (** max-flow work budget per CPA cut query ([None] = unlimited); a
             trip degrades CPA-RA to PR-RA (see {!Allocator.run}) *)
     event_model_cap : int;
-        (** clock cap for the {!Srfa_sched.Event_model} second opinion in
-            {!checked}; a trip keeps the Cycle_model timing *)
+        (** clock cap for a {!Srfa_sched.Event_model} run. The pipeline no
+            longer reads it (the event model is a test oracle, not a
+            request-path check); it is kept for the benchmark harness,
+            which re-times compiled kernels with it. *)
   }
 
   val default_guards : guards
@@ -152,6 +154,14 @@ module Core : sig
         (** an explicit list; illegal or malformed entries are skipped
             (counted in [orders_skipped]), the identity is always
             included *)
+
+  val parse_orders : string -> (order_spec, string) result
+  (** The one reader of an order-axis spec, shared by [srfa explore
+      --orders] and the daemon's [explore] op: ["all"], ["identity"] or
+      ["id"] (any case), or [;]-separated permutations of [,]-separated
+      loop positions, e.g. ["0,2,1;2,0,1"] (blanks around a position are
+      ignored). [Error] carries the sentence a caller prefixes with the
+      field or option name. *)
 
   type space = {
     orders : order_spec;
@@ -403,10 +413,8 @@ val run_checked :
     warnings)] carries one warning diagnostic per tripped resource guard:
     [W-GUARD-CUT] (CPA fell back to PR-RA on an exhausted cut work
     budget), [W-GUARD-MASK] (simulator degraded past the bitmask memo
-    cap), [W-GUARD-EVENT] (the event-model second opinion diverged; the
-    report keeps the Cycle_model timing). Every trip is also visible as a
-    trace event ([fallback.pr_ra], [guard.mask], [fallback.cycle_model])
-    on [trace]. *)
+    cap). Every trip is also visible as a trace event ([fallback.pr_ra],
+    [guard.mask]) on [trace]. *)
 
 val analyze : Nest.t -> Analysis.t
 (** Re-exported for callers that drive the stages separately. *)

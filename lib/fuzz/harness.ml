@@ -23,7 +23,6 @@ let violated fmt = Printf.ksprintf (fun m -> raise (Violated m)) fmt
 let guard_event = function
   | "W-GUARD-CUT" -> Some "fallback.pr_ra"
   | "W-GUARD-MASK" -> Some "guard.mask"
-  | "W-GUARD-EVENT" -> Some "fallback.cycle_model"
   | _ -> None
 
 let evaluate ~algorithm ~budget nest =

@@ -13,7 +13,7 @@
       negative), cycle accounting consistent;
     - mask-stress kernels must show the [W-GUARD-MASK] degradation, and
       every guard warning must be mirrored by its trace event
-      ([fallback.pr_ra], [guard.mask], [fallback.cycle_model]).
+      ([fallback.pr_ra], [guard.mask]).
 
     Comparative invariants come in two strengths. CPA-RA cycles vs FR-RA
     (and CPA+ vs the best greedy baseline) are {e statistical}: the

@@ -6,14 +6,13 @@
     has a free port that cycle. Both models implement ASAP list scheduling
     with the same tie-break (topological order), so they must agree; the
     test suite cross-checks them on the paper's kernels and on random
-    nests. *)
+    nests. It is a reference oracle only: no request path runs it. *)
 
 open Srfa_reuse
 
 exception Diverged of { cycles : int; cap : int }
 (** The clock passed [cap] cycles without every node starting — the
-    schedule is not converging (or the cap is too tight for the body).
-    Callers degrade to {!Cycle_model}'s answer instead of aborting. *)
+    schedule is not converging (or the cap is too tight for the body). *)
 
 val makespan :
   ?cap:int ->

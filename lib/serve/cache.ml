@@ -319,23 +319,12 @@ let space_of_request (req : Protocol.request) =
   in
   let* orders =
     match req.Protocol.orders with
-    | None | Some "all" -> Ok Flow.Core.All_orders
-    | Some ("identity" | "id") -> Ok Flow.Core.Identity_order
+    | None -> Ok Flow.Core.All_orders
     | Some s -> (
-      match
-        List.map
-          (fun o ->
-            match ints "orders" o with Ok ns -> ns | Error _ -> raise Exit)
-          (String.split_on_char ';' s)
-      with
-      | os -> Ok (Flow.Core.Orders os)
-      | exception Exit ->
-        Error
-          [
-            Protocol.field_error
-              "field \"orders\" must be \"all\", \"identity\" or \
-               semicolon-separated permutations like \"0,2,1;2,0,1\"";
-          ])
+      match Flow.Core.parse_orders s with
+      | Ok orders -> Ok orders
+      | Error why ->
+        Error [ Protocol.field_error ("field \"orders\" " ^ why) ])
   in
   let* tile_factors =
     match req.Protocol.tiles with None -> Ok [] | Some s -> ints "tiles" s

@@ -92,8 +92,6 @@ let of_invalid_arg msg =
   then make ~code:"E-SEM-003" msg
   else if has_prefix ~prefix:"allocator: budget" msg then
     make ~code:"E-BUDGET-001" msg
-  else if has_prefix ~prefix:"Event_model" msg then
-    make ~code:"E-SCHED-DIVERGE" msg
   else if has_prefix ~prefix:"Simulator" msg then make ~code:"E-SIM-001" msg
   else if contains ~sub:"dependency cycle" msg then make ~code:"E-DFG-001" msg
   else if has_prefix ~prefix:"Flownet" msg || has_prefix ~prefix:"Cut" msg then

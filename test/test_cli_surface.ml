@@ -101,6 +101,39 @@ let test_prng_determinism () =
        false
      with Invalid_argument _ -> true)
 
+(* ---- CLI input errors -------------------------------------------------
+
+   A malformed input file or option value is the user's input at fault:
+   an E-IO-002 error and exit 2, never an internal fault (exit 3). These
+   drive the built executable (a dependency of this stanza in
+   test/dune). *)
+
+let check_input_error args =
+  let err = Filename.temp_file "srfa-cli" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "../bin/srfa_cli.exe %s > /dev/null 2> %s"
+         (String.concat " " (List.map Filename.quote args))
+         (Filename.quote err))
+  in
+  let stderr = In_channel.with_open_text err In_channel.input_all in
+  Sys.remove err;
+  Alcotest.(check int) "exit 2" 2 code;
+  Alcotest.(check bool)
+    (Printf.sprintf "E-IO-002 error in %S" stderr)
+    true
+    (Helpers.contains_substring stderr "error[E-IO-002]")
+
+let check_events_file contents () =
+  let file = Filename.temp_file "srfa-events" ".json" in
+  Out_channel.with_open_text file (fun oc -> output_string oc contents);
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () -> check_input_error [ "rebudget"; "example"; "--events"; file ])
+
+let test_bad_orders () =
+  check_input_error [ "explore"; "example"; "--orders"; "0,x" ]
+
 let () =
   Alcotest.run "flow-and-util"
     [
@@ -118,5 +151,13 @@ let () =
           Alcotest.test_case "texttable" `Quick test_texttable_render;
           Alcotest.test_case "toposort" `Quick test_toposort;
           Alcotest.test_case "prng" `Quick test_prng_determinism;
+        ] );
+      ( "cli input errors",
+        [
+          Alcotest.test_case "truncated events file" `Quick
+            (check_events_file "[1,");
+          Alcotest.test_case "ill-shaped events file" `Quick
+            (check_events_file {|{"events":"x"}|});
+          Alcotest.test_case "malformed --orders" `Quick test_bad_orders;
         ] );
     ]

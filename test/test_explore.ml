@@ -207,6 +207,34 @@ let test_compact_json_single_line () =
   let compact = Core.frontier_json ~compact:true f in
   Alcotest.(check bool) "no newlines" false (String.contains compact '\n')
 
+(* The one order-spec reader behind `srfa explore --orders` and the
+   daemon's explore op: every spelling either front end accepted parses
+   to the value it had, so frontier-tier keys do not move. *)
+let test_parse_orders () =
+  let parsed =
+    Alcotest.testable (fun ppf _ -> Format.pp_print_string ppf "<spec>") ( = )
+  in
+  List.iter
+    (fun (spec, want) ->
+      Alcotest.(check (result parsed string))
+        spec (Ok want) (Core.parse_orders spec))
+    [
+      ("all", Core.All_orders);
+      ("ALL", Core.All_orders);
+      ("identity", Core.Identity_order);
+      ("id", Core.Identity_order);
+      ("Id", Core.Identity_order);
+      ("0,2,1;2,0,1", Core.Orders [ [ 0; 2; 1 ]; [ 2; 0; 1 ] ]);
+      (" 1 , 0 ", Core.Orders [ [ 1; 0 ] ]);
+    ];
+  List.iter
+    (fun spec ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S rejected" spec)
+        true
+        (Result.is_error (Core.parse_orders spec)))
+    [ "0,x"; "bogus"; ""; "0,1;"; " all" ]
+
 let () =
   Alcotest.run "explore"
     [
@@ -241,5 +269,6 @@ let () =
           Alcotest.test_case "CSV shape" `Quick test_csv_shape;
           Alcotest.test_case "compact JSON is one line" `Quick
             test_compact_json_single_line;
+          Alcotest.test_case "order-spec parser" `Quick test_parse_orders;
         ] );
     ]

@@ -104,31 +104,6 @@ let test_mask_guard () =
     Alcotest.(check bool) "guard.mask event" true (has_event "guard.mask" events)
   | _ -> Alcotest.fail "mask-stress kernel did not evaluate"
 
-(* Capping the event model's clock must fall back to the Cycle_model
-   timing, with the warning and the trace event, leaving the report's
-   numbers identical to an unguarded run. *)
-let test_event_cap_falls_back () =
-  let nest = Helpers.small_fir () in
-  let capped =
-    {
-      Flow.default_config with
-      guards = { Flow.default_guards with Flow.event_model_cap = 1 };
-    }
-  in
-  let sink, events = Trace.collector () in
-  match Flow.run_checked ~config:capped ~trace:sink nest with
-  | Error _ -> Alcotest.fail "capped run rejected the fir kernel"
-  | Ok (report, warnings) -> (
-    Alcotest.(check bool) "W-GUARD-EVENT warning" true
-      (has_warning "W-GUARD-EVENT" warnings);
-    Alcotest.(check bool) "fallback.cycle_model event" true
-      (has_event "fallback.cycle_model" (events ()));
-    match Flow.run_checked nest with
-    | Error _ -> Alcotest.fail "unguarded run rejected the fir kernel"
-    | Ok (plain, _) ->
-      Alcotest.(check int) "Cycle_model timing kept" plain.Report.cycles
-        report.Report.cycles)
-
 let test_minimize_shrinks_to_witness () =
   let source = "alpha\nbeta\ngamma\nMAGIC\ndelta\n" in
   let keeps s = Helpers.contains_substring s "MAGIC" in
@@ -161,8 +136,6 @@ let () =
             test_cut_guard_quiet_when_unneeded;
           Alcotest.test_case "mask guard degrades and warns" `Quick
             test_mask_guard;
-          Alcotest.test_case "event cap keeps Cycle_model" `Quick
-            test_event_cap_falls_back;
         ] );
       ( "minimizer",
         [

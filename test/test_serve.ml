@@ -500,52 +500,21 @@ let test_rebudget_sessions () =
    recovered) before the drop — in both cases with the daemon provably
    alive afterwards. *)
 
-module Server = Srfa_server.Server
-module Client = Srfa_server.Server.Client
+module Harness = Srfa_test_helpers.Serve_harness
+module Client = Harness.Client
 
-let with_daemon ?max_buffer ?read_timeout_ms tag k =
-  let socket =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "srfa-test-%s-%d.sock" tag (Unix.getpid ()))
-  in
-  (try Sys.remove socket with Sys_error _ -> ());
-  let d =
-    Domain.spawn (fun () ->
-        Server.run ?max_buffer ?read_timeout_ms ~jobs:2 ~socket ())
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      (try
-         let c = Client.connect ~retries:5 socket in
-         Client.send c {|{"op": "shutdown"}|};
-         ignore (Client.recv_opt c);
-         Client.close c
-       with _ -> ());
-      Domain.join d)
-    (fun () -> k socket)
-
-let str_member key line =
-  match Protocol.member key (Protocol.parse_json line) with
-  | Some (Protocol.Str s) -> Some s
-  | _ -> None
-
-let has_code code line =
-  match Protocol.member "diagnostics" (Protocol.parse_json line) with
-  | Some (Protocol.Arr ds) ->
-    List.exists
-      (fun d -> Protocol.member "code" d = Some (Protocol.Str code))
-      ds
-  | _ -> false
+let str_member = Harness.str_member
+let rpc c line = Srfa_util.Json.parse (Client.rpc c line)
 
 let test_disconnect_mid_batch () =
-  with_daemon "disc" (fun socket ->
+  Harness.with_daemon "disc" (fun socket ->
       (* A sends a cold request and hangs up before the answer exists. *)
       let a = Client.connect socket in
       Client.send a {|{"id": "gone", "kernel": "mat", "budget": 24}|};
       Client.close a;
       (* B, on its own connection, is served normally regardless. *)
       let b = Client.connect socket in
-      let rb = Client.rpc b {|{"id": "b1", "kernel": "fir", "budget": 64}|} in
+      let rb = rpc b {|{"id": "b1", "kernel": "fir", "budget": 64}|} in
       Alcotest.(check (option string))
         "b answered ok" (Some "ok") (str_member "status" rb);
       Alcotest.(check (option string))
@@ -555,32 +524,34 @@ let test_disconnect_mid_batch () =
          the daemon neither crashed on the dead fd nor poisoned the
          cache entry A never read. *)
       let c = Client.connect socket in
-      let rc = Client.rpc c {|{"id": "r", "kernel": "mat", "budget": 24}|} in
+      let rc = rpc c {|{"id": "r", "kernel": "mat", "budget": 24}|} in
       Alcotest.(check (option string))
         "abandoned request replays clean" (Some "ok") (str_member "status" rc);
       Client.close c)
 
 let test_oversized_request () =
-  with_daemon ~max_buffer:256 ~read_timeout_ms:5_000 "big" (fun socket ->
+  Harness.with_daemon ~max_buffer:256 ~read_timeout_ms:5_000 "big"
+    (fun socket ->
       let c = Client.connect socket in
       let junk = {|{"id": "big", "pad": "|} ^ String.make 1024 'x' in
       let n = Unix.write_substring c.Client.fd junk 0 (String.length junk) in
       Alcotest.(check int) "junk fully written" (String.length junk) n;
       (match Client.recv_opt c with
       | Some line ->
+        let r = Srfa_util.Json.parse line in
         Alcotest.(check (option string))
-          "abuse is an error response" (Some "error") (str_member "status" line);
+          "abuse is an error response" (Some "error") (str_member "status" r);
         Alcotest.(check bool) "coded E-PROTO-003" true
-          (has_code "E-PROTO-003" line);
+          (Harness.has_code "E-PROTO-003" r);
         Alcotest.(check (option string))
-          "id recovered from the junk" (Some "big") (str_member "id" line)
+          "id recovered from the junk" (Some "big") (str_member "id" r)
       | None -> Alcotest.fail "dropped without the E-PROTO-003 response");
       Alcotest.(check (option string))
         "then the connection is dropped" None (Client.recv_opt c);
       Client.close c;
       (* The daemon is unharmed: a well-formed client still gets served. *)
       let d = Client.connect socket in
-      let rd = Client.rpc d {|{"kernel": "fir", "budget": 64}|} in
+      let rd = rpc d {|{"kernel": "fir", "budget": 64}|} in
       Alcotest.(check (option string))
         "daemon survives the abuse" (Some "ok") (str_member "status" rd);
       Client.close d)
